@@ -433,6 +433,11 @@ pub fn reduction_to_grouped(k: &mut Kernel, group_size: u32, va: &mut VarAlloc<'
                     }
                     _ => return false,
                 };
+                // `acc = acc + (e + acc)` is not a sum reduction: the
+                // term itself reads the running value.
+                if term.uses_var(acc) {
+                    return false;
+                }
                 (*var, lo.clone(), hi.clone(), term)
             }
             _ => return false,
@@ -707,6 +712,42 @@ mod tests {
         let mut p = b.finish(vec![]);
         let mut va = VarAlloc::new(&mut p.var_names);
         assert!(!reduction_to_grouped(&mut k, 128, &mut va));
+    }
+
+    #[test]
+    fn reduction_transform_rejects_terms_that_read_the_accumulator() {
+        // `t = t + (a[k] + t)` doubles the running value each trip; it
+        // is not a sum reduction and must not become a tree sum.
+        let mut b = ProgramBuilder::new("p");
+        let n = b.iparam("n");
+        let a = b.array("a", Scalar::F32, n, Intent::In);
+        let out = b.array("out", Scalar::F32, n, Intent::Out);
+        let j = b.var("j");
+        let kv = b.var("k");
+        let t = b.var("t");
+        let body = |value: Expr| {
+            Block::new(vec![
+                let_(t, Scalar::F32, 2.0),
+                for_(kv, 0i64, E::from(n), vec![assign(t, E(value))]),
+                st(out, j, E::from(t)),
+            ])
+        };
+        let self_ref = (E::from(t) + (ld(a, kv) + E::from(t))).0;
+        let fma_self_ref = Expr::Fma(
+            Box::new(ld(a, kv).0),
+            Box::new(Expr::var(t)),
+            Box::new(Expr::var(t)),
+        );
+        let mut p = b.finish(vec![]);
+        for value in [self_ref, fma_self_ref] {
+            let mut k = Kernel::simple(
+                "doubling",
+                vec![ParallelLoop::new(j, Expr::iconst(0), Expr::param(n))],
+                body(value),
+            );
+            let mut va = VarAlloc::new(&mut p.var_names);
+            assert!(!reduction_to_grouped(&mut k, 8, &mut va));
+        }
     }
 
     #[test]

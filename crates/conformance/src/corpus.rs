@@ -19,7 +19,10 @@
 //!   that `simplify` used to fold inexactly;
 //! * `grouped_i32_reduction` — an `I32` accumulator through
 //!   `reduction_to_grouped`, whose shared buffer used to be hardcoded
-//!   to `F32`.
+//!   to `F32`;
+//! * `self_referential_sum` — `t = t + (z[..] + t)`, whose term reads
+//!   the accumulator, which `reduction_to_grouped` used to rewrite as
+//!   a sum reduction anyway.
 
 use crate::generate::Case;
 use paccport_devsim::Buffer;
@@ -40,6 +43,7 @@ pub fn corpus() -> Vec<(&'static str, Case)> {
         ("whileflag_countdown", whileflag_countdown()),
         ("neg_zero_identity", neg_zero_identity()),
         ("grouped_i32_reduction", grouped_i32_reduction()),
+        ("self_referential_sum", self_referential_sum()),
     ]
 }
 
@@ -391,6 +395,54 @@ fn grouped_i32_reduction() -> Case {
     }
 }
 
+/// `t = t + (z[i*n + kv] + t)`: the accumulation prefix matches, but
+/// the term reads `t`, so the loop doubles the running value instead of
+/// summing. `reduction_to_grouped` used to rewrite it as a tree sum
+/// (the `transform/reduction-to-grouped(8)` leg produced 46.0 where
+/// the oracle gives 96.0); shrunk from random program 214 of seed 5.
+fn self_referential_sum() -> Case {
+    let mut b = ProgramBuilder::new("self_referential_sum");
+    let n = b.iparam("n");
+    let y = b.array("y", Scalar::F32, n, Intent::InOut);
+    let z = b.array("z", Scalar::F32, E::from(n) * E::from(n), Intent::In);
+    let i = b.var("i");
+    let t = b.var("t");
+    let kv = b.var("kv");
+    let k = Kernel::simple(
+        "doubling",
+        vec![ParallelLoop::new(i, Expr::iconst(0), Expr::iconst(1))],
+        Block::new(vec![
+            let_(t, Scalar::F32, 2.0f64),
+            for_(
+                kv,
+                0i64,
+                E::from(n),
+                vec![paccport_ir::assign(
+                    t,
+                    E::from(t) + (ld(z, E::from(i) * E::from(n) + E::from(kv)) + E::from(t)),
+                )],
+            ),
+            st(y, 0i64, t),
+        ]),
+    );
+    let program = b.finish(vec![HostStmt::Launch(k)]);
+    Case {
+        seed: 0,
+        index: 8,
+        program,
+        params: vec![("n".to_string(), 4.0)],
+        inputs: vec![
+            ("y".to_string(), Buffer::F32(vec![2.0, 1.0, 2.0, 2.0])),
+            (
+                "z".to_string(),
+                Buffer::F32(vec![
+                    4.0, 3.0, 1.0, 2.0, 7.0, 4.0, 1.0, 7.0, 8.0, 4.0, 7.0, 6.0, 1.0, 6.0, 5.0, 7.0,
+                ]),
+            ),
+        ],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,6 +500,23 @@ mod tests {
             .find(|l| l.label == "caps/K40")
             .expect("caps/K40 leg must run");
         assert_eq!(gpu.outcome, Outcome::Match, "got {:?}", gpu.outcome);
+    }
+
+    /// The grouped rewrite must decline `t = t + (e + t)`, so its leg
+    /// is skipped; it used to apply and diverge (96.0 vs 46.0).
+    #[test]
+    fn self_referential_sum_is_not_rewritten_as_a_reduction() {
+        let legs = check_case(&self_referential_sum());
+        let leg = legs
+            .iter()
+            .find(|l| l.label == "transform/reduction-to-grouped(8)")
+            .expect("reduction-to-grouped leg must be reported");
+        assert_eq!(
+            leg.outcome,
+            Outcome::SkippedTransform,
+            "got {:?}",
+            leg.outcome
+        );
     }
 
     #[test]

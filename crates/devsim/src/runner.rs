@@ -4,7 +4,7 @@
 //! execution of every kernel so results can be validated.
 
 use crate::device::{host_cpu, spec_for, DeviceSpec};
-use crate::dyncost::{kernel_dyn_cost, CostHints, DynCost};
+use crate::dyncost::{kernel_dyn_cost, tree_free_vars, try_eval, CostHints, VarSlots};
 use crate::interp::{exec_kernel_traced, fresh_vars, KernelFidelity, V};
 use crate::memory::{Buffer, TransferLedger};
 use crate::race::{Race, RaceTracker};
@@ -12,11 +12,14 @@ use crate::tier::ExecTier;
 use crate::timing::{kernel_launch_time, transfer_time};
 use paccport_compilers::common::dist_rank_of;
 use paccport_compilers::lower::used_arrays;
-use paccport_compilers::{CompiledProgram, Correctness, DistSpec, ExecStrategy, TransferPolicy};
+use paccport_compilers::{
+    CompiledProgram, Correctness, DistSpec, ExecStrategy, KernelPlan, TransferPolicy,
+};
 use paccport_ir::stmt::Stmt;
 use paccport_ir::types::MemSpace;
 use paccport_ir::{ArrayId, Dir, HostStmt, Intent, Kernel, KernelBody, Scalar, VarId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// How faithfully to run the program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,11 +192,59 @@ fn run_inner(c: &CompiledProgram, cfg: &RunConfig) -> Result<RunResult, String> 
     let spec = spec_for(c.options.target, c.options.host_compiler);
     let host_spec = host_cpu(c.options.host_compiler);
     let mut r = Runner::new(c, cfg, spec, host_spec)?;
-    let body = c.program.body.clone();
-    for s in &body {
+    for s in &c.program.body {
         r.host_stmt(s)?;
     }
     r.finish()
+}
+
+/// What a launch needs to know about its kernel that cannot change
+/// during a run, derived once in [`Runner::new`].
+struct LaunchInfo<'a> {
+    kernel: &'a Kernel,
+    /// `None` makes the launch fail (a kernel the compiler dropped).
+    plan: Option<&'a KernelPlan>,
+    dist_rank: usize,
+    /// [`tree_free_vars`] of the plan's cost tree.
+    free: Vec<VarId>,
+    /// Global arrays read and written, each sorted.
+    reads: Vec<ArrayId>,
+    writes: Vec<ArrayId>,
+    /// Sorted union of `reads` and `writes`, flagged when read.
+    touched: Vec<(ArrayId, bool)>,
+    /// Index into [`Runner::stats`]; kernels sharing a name share it.
+    stat: usize,
+}
+
+impl<'a> LaunchInfo<'a> {
+    fn of_program(c: &'a CompiledProgram) -> Vec<LaunchInfo<'a>> {
+        let kernels = c.program.kernels();
+        kernels
+            .iter()
+            .enumerate()
+            .map(|(i, k)| {
+                let plan = c.plan(&k.name);
+                let (reads, writes) = kernel_reads_writes(k);
+                let touched = reads
+                    .union(&writes)
+                    .map(|a| (*a, reads.contains(a)))
+                    .collect();
+                LaunchInfo {
+                    kernel: k,
+                    plan,
+                    dist_rank: plan.map_or(0, |p| dist_rank_of(&p.dist, k.rank())),
+                    free: plan.map_or_else(Vec::new, |p| tree_free_vars(&p.cost)),
+                    reads: reads.into_iter().collect(),
+                    writes: writes.into_iter().collect(),
+                    touched,
+                    stat: kernels[..i]
+                        .iter()
+                        .position(|o| o.name == k.name)
+                        .unwrap_or(i),
+                }
+            })
+            .collect()
+    }
 }
 
 struct Runner<'a> {
@@ -207,15 +258,25 @@ struct Runner<'a> {
     host: Vec<Buffer>,
     dev: Vec<Buffer>,
     vars: Vec<Option<V>>,
-    host_vars_f: BTreeMap<VarId, f64>,
+    /// Host variables in scope, as the dynamic-cost model reads them.
+    host_vars: VarSlots,
     resident: Vec<bool>,
     host_valid: Vec<bool>,
     ledger: TransferLedger,
     kernel_time: f64,
     transfer_time_s: f64,
     host_time: f64,
-    stats: BTreeMap<String, KernelStat>,
-    launch_order: Vec<String>,
+    /// Per-kernel launch invariants, shared with each launch so it can
+    /// read them while updating the runner.
+    kernels: Rc<[LaunchInfo<'a>]>,
+    /// Per-kernel statistics by [`LaunchInfo::stat`], filled on first
+    /// launch; `launch_order` lists the filled slots in that order.
+    stats: Vec<Option<KernelStat>>,
+    launch_order: Vec<usize>,
+    /// Cost-tree evaluations over all launches, reported once per run
+    /// (a per-launch counter update is a registry lock when metrics
+    /// are on).
+    tree_evals: u64,
     any_known_wrong: bool,
     while_iterations: u64,
     transfers_in_while: u64,
@@ -234,10 +295,10 @@ struct Runner<'a> {
     /// programmer omits `#pragma acc data` (the motivation for the
     /// paper's future-work Step 5).
     region_cover: Vec<u32>,
-    /// Compile-once bytecode cache by kernel name (bytecode tier
+    /// Compile-once bytecode cache by kernel index (bytecode tier
     /// only): a kernel relaunched every while-loop iteration is
     /// lowered exactly once per run.
-    bc: BTreeMap<String, crate::bytecode::KernelCode>,
+    bc: Vec<Option<crate::bytecode::KernelCode>>,
 }
 
 impl<'a> Runner<'a> {
@@ -312,12 +373,13 @@ impl<'a> Runner<'a> {
         } else {
             (Vec::new(), Vec::new())
         };
+        let kernels = LaunchInfo::of_program(c);
         // Which arrays any device-executed kernel touches.
         let mut device_active = vec![false; p.arrays.len()];
-        for k in p.kernels() {
-            if let Some(plan) = c.plan(&k.name) {
+        for info in &kernels {
+            if let Some(plan) = info.plan {
                 if plan.exec != ExecStrategy::HostSequential {
-                    for a in used_arrays(k) {
+                    for a in used_arrays(info.kernel) {
                         device_active[a.0 as usize] = true;
                     }
                 }
@@ -333,16 +395,19 @@ impl<'a> Runner<'a> {
             lens,
             host,
             dev,
+            host_vars: VarSlots::new(empty_vars.len()),
             vars: empty_vars,
-            host_vars_f: BTreeMap::new(),
             resident: vec![false; p.arrays.len()],
             host_valid: vec![true; p.arrays.len()],
             ledger: TransferLedger::default(),
             kernel_time: 0.0,
             transfer_time_s: 0.0,
             host_time: 0.0,
-            stats: BTreeMap::new(),
+            stats: kernels.iter().map(|_| None).collect(),
+            bc: kernels.iter().map(|_| None).collect(),
+            kernels: kernels.into(),
             launch_order: Vec::new(),
+            tree_evals: 0,
             any_known_wrong: false,
             while_iterations: 0,
             transfers_in_while: 0,
@@ -353,7 +418,6 @@ impl<'a> Runner<'a> {
             race_accesses: 0,
             device_active,
             region_cover: vec![0; p.arrays.len()],
-            bc: BTreeMap::new(),
         })
     }
 
@@ -456,12 +520,12 @@ impl<'a> Runner<'a> {
                 let hi = self.eval_host(hi).as_i();
                 for i in lo..hi {
                     self.vars[var.0 as usize] = Some(V::I(i));
-                    self.host_vars_f.insert(*var, i as f64);
+                    self.host_vars.set(*var, Some(i as f64));
                     for s in body {
                         self.host_stmt(s)?;
                     }
                 }
-                self.host_vars_f.remove(var);
+                self.host_vars.set(*var, None);
                 Ok(())
             }
             HostStmt::WhileFlag {
@@ -514,7 +578,7 @@ impl<'a> Runner<'a> {
                 if self.functional {
                     let v = self.eval_host(value);
                     self.vars[var.0 as usize] = Some(v);
-                    self.host_vars_f.insert(*var, v.as_f());
+                    self.host_vars.set(*var, Some(v.as_f()));
                 }
                 Ok(())
             }
@@ -610,7 +674,7 @@ impl<'a> Runner<'a> {
             }
             Some(self.eval_host(e).as_f())
         } else {
-            crate::dyncost::try_eval_pub(e, &self.params, &self.host_vars_f)
+            try_eval(e, &self.params, &self.host_vars)
         }
     }
 
@@ -634,19 +698,23 @@ impl<'a> Runner<'a> {
                 paccport_faults::hang();
             }
         }
-        let plan = self
-            .c
-            .plan(&k.name)
-            .ok_or_else(|| format!("no plan for kernel `{}`", k.name))?
-            .clone();
+        let kernels = Rc::clone(&self.kernels);
+        let ki = kernels
+            .iter()
+            .position(|info| std::ptr::eq(info.kernel, k))
+            .expect("launched kernels come from the compiled program");
+        let info = &kernels[ki];
+        let plan = info
+            .plan
+            .ok_or_else(|| format!("no plan for kernel `{}`", k.name))?;
         // Evaluate loop extents with host variables.
         let mut extents: Vec<u64> = Vec::with_capacity(k.loops.len());
         for lp in &k.loops {
-            let lo = self.try_eval_host_scalar(&lp.lo).unwrap_or(0.0);
-            let hi = self.try_eval_host_scalar(&lp.hi).unwrap_or(lo);
+            let lo = self.try_eval_host_f(&lp.lo).unwrap_or(0.0);
+            let hi = self.try_eval_host_f(&lp.hi).unwrap_or(lo);
             extents.push((hi - lo).max(0.0) as u64);
         }
-        let dist_rank = dist_rank_of(&plan.dist, k.rank());
+        let dist_rank = info.dist_rank;
         let dims = plan.dist.launch_dims(&extents);
         // Serialized executions carry a cost tree that already covers
         // the whole nest (rank-0 lowering), so the multiplier is 1.
@@ -671,16 +739,17 @@ impl<'a> Runner<'a> {
                 }
             }
         };
-        let per_iter: DynCost = kernel_dyn_cost(
-            &self.c.program,
+        let (per_iter, evals) = kernel_dyn_cost(
             k,
-            &plan,
+            plan,
+            &info.free,
             dist_rank,
             &self.params,
-            &self.host_vars_f,
+            &mut self.host_vars,
             &self.cfg.hints,
         );
-        let t = kernel_launch_time(&self.spec, &self.host_spec, &plan, &dims, n_par, &per_iter);
+        self.tree_evals += evals as u64;
+        let t = kernel_launch_time(&self.spec, &self.host_spec, plan, &dims, n_par, &per_iter);
         let on_device = plan.exec != ExecStrategy::HostSequential;
         if on_device {
             self.kernel_time += t;
@@ -689,27 +758,26 @@ impl<'a> Runner<'a> {
         }
 
         // Data movement.
-        let (reads, writes) = kernel_reads_writes(k);
         if on_device {
-            for a in reads.union(&writes) {
+            for &(a, read) in &info.touched {
                 // Uncovered arrays are re-synchronized around every
                 // launch (no enclosing data region to keep them
                 // resident); covered arrays move at most once.
-                if self.region_cover[a.0 as usize] == 0 && reads.contains(a) {
-                    self.h2d(*a);
+                if self.region_cover[a.0 as usize] == 0 && read {
+                    self.h2d(a);
                 } else {
-                    self.ensure_on_device(*a);
+                    self.ensure_on_device(a);
                 }
             }
-            for a in &writes {
+            for a in &info.writes {
                 self.host_valid[a.0 as usize] = false;
                 self.written_in_iter.insert(*a);
             }
         } else {
-            for a in reads.iter().chain(writes.iter()) {
+            for a in info.reads.iter().chain(&info.writes) {
                 self.ensure_on_host(*a);
             }
-            for a in &writes {
+            for a in &info.writes {
                 self.resident[a.0 as usize] = false;
             }
         }
@@ -750,12 +818,10 @@ impl<'a> Runner<'a> {
                     tracker.as_ref(),
                 ),
                 ExecTier::Bytecode => {
-                    if !self.bc.contains_key(&k.name) {
-                        self.bc
-                            .insert(k.name.clone(), crate::bytecode::compile_kernel(p, k));
-                    }
+                    let code =
+                        self.bc[ki].get_or_insert_with(|| crate::bytecode::compile_kernel(p, k));
                     crate::bytecode::exec_kernel_bc(
-                        &self.bc[&k.name],
+                        code,
                         &self.params,
                         k,
                         &mut self.vars,
@@ -788,38 +854,28 @@ impl<'a> Runner<'a> {
         // Uncovered written arrays are copied back after every launch
         // (per-launch synchronization without a data region).
         if on_device {
-            let uncovered: Vec<ArrayId> = writes
-                .iter()
-                .copied()
-                .filter(|a| self.region_cover[a.0 as usize] == 0)
-                .collect();
-            for a in uncovered {
-                self.d2h(a);
+            for a in &info.writes {
+                if self.region_cover[a.0 as usize] == 0 {
+                    self.d2h(*a);
+                }
             }
         }
 
         // Stats.
-        if !self.stats.contains_key(&k.name) {
-            self.launch_order.push(k.name.clone());
-            self.stats.insert(
-                k.name.clone(),
-                KernelStat {
-                    name: k.name.clone(),
-                    launches: 0,
-                    device_time: 0.0,
-                    ran_on_device: on_device,
-                    config_label: plan.config_label.clone(),
-                },
-            );
+        let slot = &mut self.stats[info.stat];
+        if slot.is_none() {
+            self.launch_order.push(info.stat);
         }
-        let stat = self.stats.get_mut(&k.name).expect("just inserted");
+        let stat = slot.get_or_insert_with(|| KernelStat {
+            name: k.name.clone(),
+            launches: 0,
+            device_time: 0.0,
+            ran_on_device: on_device,
+            config_label: plan.config_label.clone(),
+        });
         stat.launches += 1;
         stat.device_time += t;
         Ok(())
-    }
-
-    fn try_eval_host_scalar(&mut self, e: &paccport_ir::Expr) -> Option<f64> {
-        self.try_eval_host_f(e)
     }
 
     fn finish(mut self) -> Result<RunResult, String> {
@@ -837,10 +893,11 @@ impl<'a> Runner<'a> {
             0.0
         };
         let elapsed = self.kernel_time + self.transfer_time_s + self.host_time;
+        paccport_trace::add("dyncost.tree_evals", self.tree_evals);
         let stats: Vec<KernelStat> = self
             .launch_order
             .iter()
-            .map(|n| self.stats[n].clone())
+            .map(|i| self.stats[*i].take().expect("launched kernels have stats"))
             .collect();
         // Simulated hardware counters → the metrics registry: what
         // `PGI_ACC_TIME=1` + nvprof gave the paper's authors, as
